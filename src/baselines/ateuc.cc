@@ -158,7 +158,7 @@ AteucResult RunAteuc(const DirectedGraph& graph, DiffusionModel model, NodeId et
           n_d * static_cast<double>(curve.cumulative_coverage[s_u - 1]) / theta;
       const bool gap_met = s_u <= 2 * s_l;
       const bool stabilized =
-          s_u == previous_s_u && collection.NumSets() >= options.stable_after;
+          s_u == previous_s_u && sets.NumSets() >= options.stable_after;
       if (gap_met || stabilized || round == options.max_doublings) return result;
       previous_s_u = s_u;
     } else if (round == options.max_doublings) {

@@ -2,9 +2,14 @@
 //
 // Format, one edge per line:
 //     <source> <target> [probability]
-// Lines starting with '#' or '%' are comments. When the probability column
-// is absent the loader leaves it to a WeightModel pass (edges get the
-// sentinel 1.0 and LoadEdgeList reports has_probabilities = false).
+// Lines starting with '#' or '%' are comments. Fields are separated by any
+// whitespace (CR included, so CRLF files load); numbers may carry a leading
+// '+', the probability may use exponent notation, and tokens after the
+// probability are ignored. When the probability column is absent the
+// loader leaves it to a WeightModel pass (edges get the sentinel 1.0 and
+// LoadEdgeList reports has_probabilities = false). A third token that is
+// not a number also makes the edge bare, with probability 0 rather than
+// the sentinel.
 
 #pragma once
 

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <memory>
+#include <mutex>
 #include <span>
 #include <utility>
 #include <vector>
@@ -152,6 +153,20 @@ class DirectedGraph {
   /// Sum of in-edge probabilities of v (LT models require this <= 1).
   double InProbabilitySum(NodeId v) const;
 
+  /// Marks a node of InSkipLogQ() whose in-edges do not all share one
+  /// probability (any real log1p(-p) is <= 0).
+  static constexpr double kMixedInProbabilities = 1.0;
+
+  /// Per node v: log1p(-p_v) when every in-edge of v has the same
+  /// probability p_v in (0, 1], else kMixedInProbabilities; -inf means
+  /// every in-edge is live (p_v = 1, or in-degree 0). Read from in_probs
+  /// alone, so it holds however the weights were made. Drives the
+  /// geometric-skip IC reverse traversal (sampling/rr_set.h). Built on the
+  /// first call, once per storage: every copy of this graph shares the
+  /// table, and building a graph costs nothing extra until a sampler asks.
+  /// Thread-safe.
+  std::span<const double> InSkipLogQ() const;
+
   /// All edges as a flat list (source recovered from CSR); O(m).
   std::vector<Edge> ToEdgeList() const;
 
@@ -169,6 +184,13 @@ class DirectedGraph {
   /// Owns the spanned bytes: a GraphStorage for heap graphs, a mapped
   /// snapshot payload for mmap graphs.
   std::shared_ptr<const void> storage_;
+
+  /// Lazily built InSkipLogQ() side table, shared by every copy.
+  struct InSkipTable {
+    std::once_flag built;
+    std::vector<double> log_q;
+  };
+  std::shared_ptr<InSkipTable> in_skip_ = std::make_shared<InSkipTable>();
 };
 
 }  // namespace asti

@@ -49,7 +49,13 @@ std::string JsonLabels(const MetricLabels& labels) {
   std::string out = "{";
   for (const auto& [key, value] : labels) {
     if (out.size() > 1) out += ", ";
-    out += "\"" + Escape(key) + "\": \"" + Escape(value) + "\"";
+    // Appended piecewise: an operator+ chain of temporaries trips a gcc 12
+    // -Wrestrict false positive.
+    out += '"';
+    out += Escape(key);
+    out += "\": \"";
+    out += Escape(value);
+    out += '"';
   }
   out += "}";
   return out;

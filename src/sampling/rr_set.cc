@@ -1,5 +1,8 @@
 #include "sampling/rr_set.h"
 
+#include <cmath>
+#include <limits>
+
 #include "sampling/rr_buffer.h"
 
 namespace asti {
@@ -9,20 +12,47 @@ void RrSampler::TraverseFrom(const BitVector* active, Sink& out, Rng& rng) {
   const DirectedGraph& graph = *graph_;
   size_t head = out.InProgressBegin();
   if (model_ == DiffusionModel::kIndependentCascade) {
-    // Reverse BFS; each in-edge of a popped node flips an independent coin.
+    // Reverse BFS over the live in-edges of each popped node.
+    auto reach = [&](NodeId u) {
+      if (visited_.Visited(u)) return;
+      if (active != nullptr && active->Get(u)) return;
+      visited_.MarkVisited(u);
+      out.PushNode(u);
+    };
     while (head < out.PoolSize()) {
       const NodeId v = out.PoolNode(head++);
       auto sources = graph.InNeighbors(v);
-      auto probs = graph.InProbabilities(v);
+      const double log_q = skip_log_q_[v];
       ++cost_.nodes_visited;
-      cost_.edges_examined += sources.size();
-      for (size_t i = 0; i < sources.size(); ++i) {
-        const NodeId u = sources[i];
-        if (visited_.Visited(u)) continue;
-        if (active != nullptr && active->Get(u)) continue;
-        if (!rng.NextBernoulli(probs[i])) continue;
-        visited_.MarkVisited(u);
-        out.PushNode(u);
+      if (log_q == DirectedGraph::kMixedInProbabilities) {
+        // Mixed probabilities: one coin per in-edge.
+        auto probs = graph.InProbabilities(v);
+        cost_.edges_examined += sources.size();
+        for (size_t i = 0; i < sources.size(); ++i) {
+          const NodeId u = sources[i];
+          if (visited_.Visited(u)) continue;
+          if (active != nullptr && active->Get(u)) continue;
+          if (!rng.NextBernoulli(probs[i])) continue;
+          visited_.MarkVisited(u);
+          out.PushNode(u);
+        }
+      } else if (log_q == -std::numeric_limits<double>::infinity()) {
+        // p = 1: every in-edge is live, no draw needed.
+        cost_.edges_examined += sources.size();
+        for (const NodeId u : sources) reach(u);
+      } else {
+        // Shared p < 1: the gap before the next live in-edge is geometric,
+        // Pr[skip = k] = (1 - p)^k p, drawn as floor(log U / log(1 - p))
+        // with U in (0, 1].
+        const size_t degree = sources.size();
+        size_t i = 0;
+        while (i < degree) {
+          const double skip = std::floor(std::log(1.0 - rng.NextDouble()) / log_q);
+          if (skip >= static_cast<double>(degree - i)) break;
+          i += static_cast<size_t>(skip);
+          ++cost_.edges_examined;
+          reach(sources[i++]);
+        }
       }
     }
   } else {

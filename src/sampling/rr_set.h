@@ -7,12 +7,19 @@
 // *inactive* node and traverses only inactive nodes, estimating marginal
 // spreads on G_i.
 //
-// IC traversal: reverse BFS flipping one coin per examined in-edge.
+// IC traversal: reverse BFS over live in-edges. A node whose in-edges all
+// share one probability p (weighted cascade, uniform IC, any node a
+// reweight left alone) finds its live in-edges by geometric skips: one
+// draw of floor(log U / log(1 - p)) jumps straight to the next live edge
+// (SUBSIM, Guo et al. SIGMOD 2020), so dead edges cost neither a draw nor
+// a visited-set read. p = 1 makes every in-edge live with no draw. A node
+// with mixed probabilities flips one coin per in-edge.
 // LT traversal: each visited node retains at most one in-edge (live-edge
 // equivalence), so the traversal adds at most one predecessor per node.
 
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "diffusion/model.h"
@@ -27,6 +34,10 @@ namespace asti {
 /// bench (expected mRR cost ∝ OPT_i/η_i · m_i).
 struct SamplerCost {
   uint64_t nodes_visited = 0;
+  /// In-edges the traversal touched. IC: the live in-edges a geometric
+  /// skip landed on, plus the full in-degree of every popped node with
+  /// mixed probabilities or p = 1. LT: the full in-degree of every popped
+  /// node.
   uint64_t edges_examined = 0;
 };
 
@@ -34,7 +45,12 @@ struct SamplerCost {
 class RrSampler {
  public:
   RrSampler(const DirectedGraph& graph, DiffusionModel model)
-      : graph_(&graph), model_(model), visited_(graph.NumNodes()) {}
+      : graph_(&graph),
+        model_(model),
+        visited_(graph.NumNodes()),
+        skip_log_q_(model == DiffusionModel::kIndependentCascade
+                        ? graph.InSkipLogQ()
+                        : std::span<const double>()) {}
 
   /// Cumulative cost since construction / the last ResetCost().
   const SamplerCost& cost() const { return cost_; }
@@ -60,6 +76,7 @@ class RrSampler {
   const DirectedGraph* graph_;
   DiffusionModel model_;
   EpochVisitedSet visited_;
+  std::span<const double> skip_log_q_;  // graph.InSkipLogQ(); IC only
   SamplerCost cost_;
 };
 

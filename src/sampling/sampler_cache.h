@@ -64,7 +64,9 @@ inline constexpr uint64_t kCacheStreamSeed = 0xa57150cc5eed0007ULL;
 /// that alters what set i contains for a given (graph, key, i) — persisted
 /// collections carry it and the snapshot loader refuses a mismatch, which
 /// is what keeps "adopted from disk" bit-identical to "generated cold".
-inline constexpr uint32_t kSamplerContractVersion = 1;
+/// Version 2: IC traversal draws geometric skips over the in-edges of
+/// nodes whose in-probabilities are all equal (sampling/rr_set.h).
+inline constexpr uint32_t kSamplerContractVersion = 2;
 
 /// What a full-residual collection's distribution depends on.
 struct SamplerCacheKey {

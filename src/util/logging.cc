@@ -46,10 +46,12 @@ std::string FormatLogLine(LogLevel level, const std::string& message) {
 #else
   gmtime_r(&seconds, &utc);
 #endif
+  // strftime bounds its own output; snprintf only formats the 0..999
+  // millisecond field, so no field can overrun the buffer.
   char stamp[40];
-  std::snprintf(stamp, sizeof(stamp), "%04d-%02d-%02dT%02d:%02d:%02d.%03dZ",
-                utc.tm_year + 1900, utc.tm_mon + 1, utc.tm_mday, utc.tm_hour,
-                utc.tm_min, utc.tm_sec, static_cast<int>(millis));
+  const size_t date_len = std::strftime(stamp, sizeof(stamp), "%Y-%m-%dT%H:%M:%S", &utc);
+  std::snprintf(stamp + date_len, sizeof(stamp) - date_len, ".%03dZ",
+                static_cast<int>(millis));
   std::string line;
   line.reserve(message.size() + 48);
   line += "[";

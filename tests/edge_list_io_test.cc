@@ -60,6 +60,66 @@ TEST(EdgeListIoTest, RejectsMixedWeightedUnweighted) {
   EXPECT_FALSE(file.ok());
 }
 
+// The tokenizer must keep the accept/reject outcome of `std::istream >>`
+// field extraction (the format's original definition) on every input.
+
+TEST(EdgeListIoTest, TabsAndCrlfAreWhitespace) {
+  auto file = ParseEdgeList("0\t1\t0.5\r\n1 2 0.25\r\n");
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  ASSERT_EQ(file->edges.size(), 2u);
+  EXPECT_TRUE(file->has_probabilities);
+  EXPECT_EQ(file->edges[0].target, 1u);
+  EXPECT_EQ(file->edges[0].probability, 0.5);
+  EXPECT_EQ(file->edges[1].probability, 0.25);
+
+  auto bare = ParseEdgeList("0 1\r\n1 2\r\n");
+  ASSERT_TRUE(bare.ok()) << bare.status().ToString();
+  EXPECT_FALSE(bare->has_probabilities);
+  EXPECT_EQ(bare->edges[1].probability, 1.0);
+}
+
+TEST(EdgeListIoTest, LeadingPlusAndExponentsParse) {
+  auto file = ParseEdgeList("+0 +1 +0.5\n1 2 25e-2\n2 0 1E0\n");
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  ASSERT_EQ(file->edges.size(), 3u);
+  EXPECT_EQ(file->edges[0].source, 0u);
+  EXPECT_EQ(file->edges[0].probability, 0.5);
+  EXPECT_EQ(file->edges[1].probability, 0.25);
+  EXPECT_EQ(file->edges[2].probability, 1.0);
+  // A sign must be followed by a digit.
+  EXPECT_FALSE(ParseEdgeList("+-1 2 0.5\n").ok());
+}
+
+TEST(EdgeListIoTest, TrailingTokensAreIgnored) {
+  auto file = ParseEdgeList("0 1 0.5 extra tokens\n1 2 0.25x\n");
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  ASSERT_EQ(file->edges.size(), 2u);
+  EXPECT_EQ(file->edges[0].probability, 0.5);
+  EXPECT_EQ(file->edges[1].probability, 0.25);
+}
+
+TEST(EdgeListIoTest, NonNumericThirdTokenIsABareEdge) {
+  auto file = ParseEdgeList("0 1 abc\n1 2 1e\n");
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  EXPECT_FALSE(file->has_probabilities);
+  EXPECT_EQ(file->edges.size(), 2u);
+  // ...so beside a weighted line it makes a mixed file.
+  EXPECT_FALSE(ParseEdgeList("0 1 abc\n1 2 0.5\n").ok());
+}
+
+TEST(EdgeListIoTest, ErrorMessagesNameTheLine) {
+  EXPECT_EQ(ParseEdgeList("0 1 0.5\n0 x 0.5\n").status().ToString(),
+            "InvalidArgument: malformed edge at line 2: '0 x 0.5'");
+  EXPECT_EQ(ParseEdgeList("99999999999999999999 1\n").status().ToString(),
+            "InvalidArgument: malformed edge at line 1: '99999999999999999999 1'");
+  EXPECT_EQ(ParseEdgeList("# c\n4294967295 1 0.5\n").status().ToString(),
+            "InvalidArgument: node id out of range at line 2");
+  EXPECT_EQ(ParseEdgeList("0 1 -0.5\n").status().ToString(),
+            "InvalidArgument: probability out of (0,1] at line 1");
+  EXPECT_EQ(ParseEdgeList("0 1 0.5\n1 2\n").status().ToString(),
+            "InvalidArgument: mixed weighted and unweighted edge lines");
+}
+
 TEST(EdgeListIoTest, BuildGraphDirected) {
   auto file = ParseEdgeList("0 1 0.5\n1 2 0.25\n");
   ASSERT_TRUE(file.ok());

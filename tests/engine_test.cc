@@ -21,8 +21,10 @@
 #include "api/graph_catalog.h"
 #include "api/seedmin_engine.h"
 #include "api/snapshot_serving.h"
+#include "baselines/ateuc.h"
 #include "benchutil/experiment.h"
 #include "graph/generators.h"
+#include "graph/graph_builder.h"
 #include "store/snapshot_writer.h"
 
 namespace asti {
@@ -948,6 +950,62 @@ TEST_F(EngineTest, PoolSizesAboveOneAgree) {
     } else {
       EXPECT_EQ(Fingerprint(*result), reference) << "threads=" << threads;
     }
+  }
+}
+
+// ATEUC's stabilization stop (S_u unchanged across a doubling once the
+// collection holds stable_after sets) must fire whether the sets come from
+// the shared cache, a request-private cache, or an owned collection. The
+// fixture is three p = 1 stars (hub + 39, + 19, + 19 leaves; n = 80) at
+// η = 60: S_u is always three hubs (two cover ~60 < 1.2·η, three cover
+// all 80) while one hub already lets the optimistic bound reach η, so
+// S_l = 1, the 2x gap never closes, and the stop is the only exit short of
+// the 4,194,304-set cap. It fires at doubling 5, the first round with
+// 256·2^5 = 8192 sets.
+TEST(AteucEngineTest, StabilizationStopFiresWithAndWithoutTheCache) {
+  GraphBuilder builder(80);
+  const NodeId hubs[] = {0, 40, 60};
+  const NodeId ends[] = {40, 60, 80};
+  for (size_t h = 0; h < 3; ++h) {
+    for (NodeId leaf = hubs[h] + 1; leaf < ends[h]; ++leaf) {
+      ASSERT_TRUE(builder.AddEdge(hubs[h], leaf, 1.0).ok());
+    }
+  }
+  auto graph = builder.Build();
+  ASSERT_TRUE(graph.ok());
+  constexpr NodeId kEta = 60;
+  constexpr size_t kStopSamples = 8192;
+
+  // Owned collection (no cache) and a cache, called directly.
+  for (const bool cached : {false, true}) {
+    SamplerCache cache(*graph);
+    AteucOptions options;
+    options.sampler_cache = cached ? &cache : nullptr;
+    Rng rng(61);
+    const AteucResult direct =
+        RunAteuc(*graph, DiffusionModel::kIndependentCascade, kEta, options, rng);
+    EXPECT_EQ(direct.doublings, 5u) << "cached=" << cached;
+    EXPECT_EQ(direct.num_samples, kStopSamples) << "cached=" << cached;
+    EXPECT_EQ(direct.seeds.size(), 3u) << "cached=" << cached;
+  }
+
+  // Through the engine: shared cache and request-private cache.
+  GraphCatalog catalog;
+  ASSERT_TRUE(catalog.Register("stars", std::move(graph).value()).ok());
+  SeedMinEngine engine(catalog);
+  for (const bool shared : {true, false}) {
+    SolveRequest request;
+    request.graph = "stars";
+    request.algorithm = AlgorithmId::kAteuc;
+    request.eta = kEta;
+    request.seed = 62;
+    request.use_shared_cache = shared;
+    request.keep_traces = true;
+    const auto result = engine.Solve(request);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_EQ(result->traces.size(), 1u);
+    EXPECT_EQ(result->traces[0].total_samples, kStopSamples) << "shared=" << shared;
+    EXPECT_EQ(result->traces[0].seeds.size(), 3u) << "shared=" << shared;
   }
 }
 

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <map>
 
 #include "graph/graph.h"
@@ -158,6 +160,29 @@ TEST(GraphTest, ToEdgeListRoundTrip) {
     expected.erase(it);
   }
   EXPECT_TRUE(expected.empty());
+}
+
+TEST(GraphTest, InSkipLogQMarksUniformMixedAndCertainNodes) {
+  // SmallDiamond plus 1 -> 4 and 2 -> 4, both p = 1.
+  GraphBuilder builder(5);
+  for (const Edge& e : SmallDiamond().ToEdgeList()) {
+    ASSERT_TRUE(builder.AddEdge(e.source, e.target, e.probability).ok());
+  }
+  ASSERT_TRUE(builder.AddEdge(1, 4, 1.0).ok());
+  ASSERT_TRUE(builder.AddEdge(2, 4, 1.0).ok());
+  auto graph = builder.Build();
+  ASSERT_TRUE(graph.ok());
+  const auto log_q = graph->InSkipLogQ();
+  ASSERT_EQ(log_q.size(), 5u);
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(log_q[0], -inf);  // no in-edges
+  EXPECT_EQ(log_q[1], std::log1p(-0.5));
+  EXPECT_EQ(log_q[2], std::log1p(-0.25));
+  EXPECT_EQ(log_q[3], DirectedGraph::kMixedInProbabilities);  // 1.0 and 0.75
+  EXPECT_EQ(log_q[4], -inf);                                  // all p = 1
+  // Built once per storage: copies share the table.
+  const DirectedGraph copy = *graph;
+  EXPECT_EQ(copy.InSkipLogQ().data(), log_q.data());
 }
 
 TEST(GraphTest, DegreeSumsMatchEdgeCount) {

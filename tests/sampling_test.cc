@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <numeric>
 #include <set>
+#include <utility>
 
 #include "diffusion/monte_carlo.h"
 #include "graph/generators.h"
@@ -204,6 +207,176 @@ TEST(RrSamplerTest, LtSingletonCoverageMatchesMonteCarlo) {
   EXPECT_NEAR(estimate, truth, 0.12);
 }
 
+// --- Geometric-skip IC traversal ------------------------------------------
+
+// Star into node 0 from `degree` sources, every in-edge at probability p.
+DirectedGraph InStar(NodeId degree, double p) {
+  GraphBuilder builder(degree + 1);
+  for (NodeId u = 1; u <= degree; ++u) EXPECT_TRUE(builder.AddEdge(u, 0, p).ok());
+  auto graph = builder.Build();
+  EXPECT_TRUE(graph.ok());
+  return std::move(graph).value();
+}
+
+TEST(RrSamplerTest, SkipPathLiveInEdgesAreIndependentBernoulli) {
+  // Rooted at the hub, an RR set is the hub plus its live in-edges' sources:
+  // each source independently with probability p, Binomial(d, p) in all.
+  // Sources 1..4 are active: a skip may land on them but never adds them.
+  constexpr NodeId kDegree = 24;
+  constexpr double kP = 0.15;
+  const DirectedGraph graph = InStar(kDegree, kP);
+  BitVector active(kDegree + 1);
+  for (NodeId u = 1; u <= 4; ++u) active.Set(u);
+  RrSampler sampler(graph, DiffusionModel::kIndependentCascade);
+  RrCollection collection(kDegree + 1);
+  Rng rng(94);
+  constexpr size_t kSets = 100000;
+  size_t both_5_and_6 = 0;
+  double sum = 0.0;
+  double sum_sq = 0.0;
+  for (size_t i = 0; i < kSets; ++i) {
+    sampler.Generate({0}, &active, collection, rng);
+    const auto set = collection.Set(i);
+    const double live = static_cast<double>(set.size() - 1);
+    sum += live;
+    sum_sq += live * live;
+    both_5_and_6 += std::count(set.begin(), set.end(), 5) *
+                    std::count(set.begin(), set.end(), 6);
+  }
+  const double n = static_cast<double>(kSets);
+  const double sigma = std::sqrt(kP * (1 - kP) / n);
+  for (NodeId u = 1; u <= 4; ++u) EXPECT_EQ(collection.Coverage(u), 0u);
+  for (NodeId u = 5; u <= kDegree; ++u) {
+    EXPECT_NEAR(collection.Coverage(u) / n, kP, 4.5 * sigma) << "source " << u;
+  }
+  EXPECT_NEAR(both_5_and_6 / n, kP * kP, 4.5 * std::sqrt(kP * kP / n));
+  const double inactive = kDegree - 4;
+  const double mean = sum / n;
+  EXPECT_NEAR(mean, inactive * kP, 4.5 * std::sqrt(inactive * kP * (1 - kP) / n));
+  EXPECT_NEAR(sum_sq / n - mean * mean, inactive * kP * (1 - kP),
+              0.05 * inactive * kP * (1 - kP));
+  // Cost: every set pops its nodes; the hub's examined edges are the live
+  // ones the skips landed on, active sources included.
+  EXPECT_EQ(sampler.cost().nodes_visited, kSets + static_cast<uint64_t>(sum));
+  EXPECT_NEAR(static_cast<double>(sampler.cost().edges_examined) / n, kDegree * kP,
+              4.5 * std::sqrt(kDegree * kP * (1 - kP) / n));
+}
+
+TEST(RrSamplerTest, CertainInEdgesAreAllLiveWithoutDraws) {
+  const DirectedGraph graph = InStar(6, 1.0);
+  RrSampler sampler(graph, DiffusionModel::kIndependentCascade);
+  RrCollection collection(7);
+  Rng rng(95);
+  Rng expected = rng;
+  sampler.Generate({0}, nullptr, collection, rng);
+  expected.NextBounded(1);  // the root draw is the only draw
+  EXPECT_EQ(collection.Set(0).size(), 7u);
+  EXPECT_EQ(rng(), expected());
+  EXPECT_EQ(sampler.cost().edges_examined, 6u);
+}
+
+// 36 nodes on an Erdős–Rényi skeleton. The in-edges of v share one
+// probability by class v % 4 — 0: weighted cascade, 1: 0.35, 2: 1 — except
+// class 3, whose in-edges draw distinct probabilities (per-edge coins).
+DirectedGraph MixedInProbabilityGraph() {
+  constexpr NodeId kNodes = 36;
+  Rng rng(96);
+  const EdgeSkeleton skeleton = MakeErdosRenyi(kNodes, 100, rng);
+  std::vector<double> in_degree(kNodes);
+  for (const Edge& e : skeleton.edges) ++in_degree[e.target];
+  GraphBuilder builder(kNodes);
+  for (const Edge& e : skeleton.edges) {
+    const double p = e.target % 4 == 0   ? 1.0 / in_degree[e.target]
+                     : e.target % 4 == 1 ? 0.35
+                     : e.target % 4 == 2 ? 1.0
+                                         : 0.05 + 0.5 * rng.NextDouble();
+    EXPECT_TRUE(builder.AddEdge(e.source, e.target, p).ok());
+  }
+  auto graph = builder.Build();
+  EXPECT_TRUE(graph.ok());
+  return std::move(graph).value();
+}
+
+// Residual graph of the mixed fixture: every fifth node is active.
+struct MixedResidual {
+  DirectedGraph graph = MixedInProbabilityGraph();
+  BitVector active{graph.NumNodes()};
+  std::vector<NodeId> candidates;
+
+  MixedResidual() {
+    for (NodeId v = 0; v < graph.NumNodes(); ++v) {
+      if (v % 5 == 0) {
+        active.Set(v);
+      } else {
+        candidates.push_back(v);
+      }
+    }
+  }
+};
+
+// Forward Monte Carlo E[min{I(v | active), cap}] in 20 batches: returns
+// {mean, standard error of the mean}.
+std::pair<double, double> MonteCarloMarginal(const MixedResidual& residual, NodeId v,
+                                             NodeId cap, Rng& rng) {
+  MonteCarloEstimator mc(residual.graph, DiffusionModel::kIndependentCascade);
+  constexpr size_t kBatches = 20;
+  double sum = 0.0;
+  double sum_sq = 0.0;
+  for (size_t b = 0; b < kBatches; ++b) {
+    const double batch =
+        mc.EstimateMarginalTruncatedSpread({v}, residual.active, cap, 1000, rng);
+    sum += batch;
+    sum_sq += batch * batch;
+  }
+  const double mean = sum / kBatches;
+  const double variance = std::max(0.0, sum_sq / kBatches - mean * mean);
+  return {mean, std::sqrt(variance / (kBatches - 1))};
+}
+
+TEST(RrSamplerTest, MixedGraphResidualInclusionMatchesMonteCarlo) {
+  // n_i · Pr[v ∈ R] = E[I(v | active)] for every inactive v, on a residual
+  // graph mixing skip, certain and per-edge-coin nodes.
+  const MixedResidual residual;
+  const auto log_q = residual.graph.InSkipLogQ();
+  size_t skip = 0, certain = 0, mixed = 0;
+  for (const NodeId v : residual.candidates) {
+    if (residual.graph.InDegree(v) == 0) continue;
+    if (log_q[v] == DirectedGraph::kMixedInProbabilities) {
+      ++mixed;
+    } else if (std::isinf(log_q[v])) {
+      ++certain;
+    } else {
+      ++skip;
+    }
+  }
+  ASSERT_GE(skip, 5u);
+  ASSERT_GE(certain, 3u);
+  ASSERT_GE(mixed, 3u);
+
+  RrSampler sampler(residual.graph, DiffusionModel::kIndependentCascade);
+  RrCollection collection(residual.graph.NumNodes());
+  Rng rng(97);
+  constexpr size_t kSets = 200000;
+  for (size_t i = 0; i < kSets; ++i) {
+    sampler.Generate(residual.candidates, &residual.active, collection, rng);
+  }
+  const double n_i = static_cast<double>(residual.candidates.size());
+  Rng mc_rng(98);
+  double chi_square = 0.0;
+  for (const NodeId v : residual.candidates) {
+    const double f = static_cast<double>(collection.Coverage(v)) / kSets;
+    const double estimate = n_i * f;
+    const double rr_se = n_i * std::sqrt(f * (1 - f) / kSets);
+    const auto [truth, mc_se] =
+        MonteCarloMarginal(residual, v, static_cast<NodeId>(n_i), mc_rng);
+    const double z = (estimate - truth) / std::hypot(rr_se, mc_se);
+    EXPECT_LT(std::abs(z), 4.5) << "node " << v << ": RR " << estimate << ", MC "
+                                << truth;
+    chi_square += z * z;
+  }
+  EXPECT_LT(chi_square, 2.5 * n_i);
+}
+
 // --- mRR-sets: root counts, dedup, Theorem 3.3 -----------------------------
 
 TEST(MrrSamplerTest, SetsContainDistinctNodes) {
@@ -313,6 +486,32 @@ TEST(MrrSamplerTest, Theorem33BracketsOnRandomGraph) {
                              static_cast<double>(samples);
   EXPECT_GE(gamma_tilde, kOneMinusInvE * gamma - 0.1);
   EXPECT_LE(gamma_tilde, gamma + 0.1);
+}
+
+TEST(MrrSamplerTest, Theorem33BracketsOnMixedResidualGraph) {
+  // (1 − 1/e)·E[Γ(v | active)] ≤ η_i·Pr[v ∈ R] ≤ E[Γ(v | active)] for every
+  // inactive v, with mRR sets drawn through all three traversal paths.
+  const MixedResidual residual;
+  const NodeId n_i = static_cast<NodeId>(residual.candidates.size());
+  const NodeId shortfall = 6;
+  MrrSampler sampler(residual.graph, DiffusionModel::kIndependentCascade);
+  RootSizeSampler root_size(n_i, shortfall);
+  RrCollection collection(residual.graph.NumNodes());
+  Rng rng(99);
+  constexpr size_t kSets = 200000;
+  for (size_t i = 0; i < kSets; ++i) {
+    sampler.Generate(residual.candidates, &residual.active, root_size.Sample(rng),
+                     collection, rng);
+  }
+  Rng mc_rng(100);
+  for (const NodeId v : residual.candidates) {
+    const double f = static_cast<double>(collection.Coverage(v)) / kSets;
+    const double gamma_tilde = shortfall * f;
+    const auto [gamma, mc_se] = MonteCarloMarginal(residual, v, shortfall, mc_rng);
+    const double slack = 4.5 * std::hypot(shortfall * std::sqrt(f * (1 - f) / kSets), mc_se);
+    EXPECT_LE(gamma_tilde, gamma + slack) << "node " << v;
+    EXPECT_GE(gamma_tilde, kOneMinusInvE * gamma - slack) << "node " << v;
+  }
 }
 
 TEST(MrrSamplerTest, ResidualSetsAvoidActiveNodes) {

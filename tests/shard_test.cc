@@ -386,7 +386,11 @@ TEST(ShardServingTest, SwapOfShardedGraphMidStreamPinsOldEpoch) {
     // Same (name, epoch) identity for the fingerprint comparison.
     ASSERT_TRUE(
         solo_catalog.Swap("g", replacement, WeightScheme::kWeightedCascade).ok());
-    SeedMinEngine solo_engine(solo_catalog, SeedMinEngine::ServingOptions{});
+    // Equal pool size: a 1-thread engine runs the sequential stream
+    // protocol, which gives different (equally valid) answers.
+    SeedMinEngine::ServingOptions solo_options;
+    solo_options.num_threads = 2;
+    SeedMinEngine solo_engine(solo_catalog, solo_options);
     const auto solo = solo_engine.Solve(request);
     ASSERT_TRUE(solo.ok());
     unsharded_epoch2 = Fingerprint(*solo);

@@ -12,6 +12,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <future>
 #include <memory>
 #include <sstream>
@@ -312,18 +313,19 @@ TEST(SnapshotCorruptionTest, SectionOffsetOutOfRangeIsRejected) {
   std::filesystem::remove(path);
 }
 
-TEST(SnapshotCorruptionTest, CollectionFromDifferentGraphIsRejected) {
-  // A collection section whose graph_digest does not match the file's own
-  // graph simulates a stale/cross-pasted cache: refused in O(1) at open,
-  // with the mismatch named, under BOTH verify tiers.
-  const DirectedGraph graph = MakeTestGraph(419);
+// Writes a snapshot of `graph` carrying one sealed RR collection, applies
+// `edit` to every collection section header, and re-seals the checksums so
+// the loader's checks UNDER them are what must refuse the file.
+std::string WriteEditedCollectionSnapshot(
+    const DirectedGraph& graph, const std::string& name,
+    const std::function<void(store::CollectionSectionHeader&)>& edit) {
   SamplerCache cache(graph);
   cache.Acquire(SamplerCacheKey::Rr(DiffusionModel::kIndependentCascade), 16,
                 nullptr, nullptr, nullptr);
   const std::vector<SealedCollectionExport> sealed = cache.ExportSealed();
-  ASSERT_FALSE(sealed.empty());
-  const std::string path = TempPath("cross.asms");
-  ASSERT_TRUE(
+  EXPECT_FALSE(sealed.empty());
+  const std::string path = TempPath(name);
+  EXPECT_TRUE(
       store::WriteSnapshot(graph, "c", WeightScheme::kWeightedCascade, sealed, path)
           .ok());
 
@@ -335,24 +337,52 @@ TEST(SnapshotCorruptionTest, CollectionFromDifferentGraphIsRejected) {
     found = true;
     store::CollectionSectionHeader header;
     std::memcpy(&header, surgeon.bytes.data() + table[i].offset, sizeof(header));
-    header.graph_digest ^= 0xdeadbeefULL;  // "written for some other graph"
+    edit(header);
     std::memcpy(surgeon.bytes.data() + table[i].offset, &header, sizeof(header));
     SectionEntry entry = table[i];
     entry.payload_crc =
         Crc32(surgeon.bytes.data() + entry.offset, static_cast<size_t>(entry.bytes));
     surgeon.PutEntry(i, entry);
   }
-  ASSERT_TRUE(found);
+  EXPECT_TRUE(found);
   surgeon.Reseal();
   surgeon.Store();
+  return path;
+}
+
+// Both verify tiers refuse `path` with InvalidArgument naming `reason`.
+void ExpectRefusedUnderBothTiers(const std::string& path, const std::string& reason) {
   for (const SnapshotVerify verify :
        {SnapshotVerify::kStructural, SnapshotVerify::kChecksums}) {
     auto snapshot = store::OpenSnapshot(path, verify);
     ASSERT_FALSE(snapshot.ok());
     EXPECT_EQ(snapshot.status().code(), StatusCode::kInvalidArgument);
-    EXPECT_NE(snapshot.status().ToString().find("different graph"), std::string::npos)
+    EXPECT_NE(snapshot.status().ToString().find(reason), std::string::npos)
         << snapshot.status().ToString();
   }
+}
+
+TEST(SnapshotCorruptionTest, CollectionFromDifferentGraphIsRejected) {
+  // A collection section whose graph_digest does not match the file's own
+  // graph simulates a stale/cross-pasted cache: refused in O(1) at open,
+  // with the mismatch named, under BOTH verify tiers.
+  const std::string path = WriteEditedCollectionSnapshot(
+      MakeTestGraph(419), "cross.asms", [](store::CollectionSectionHeader& header) {
+        header.graph_digest ^= 0xdeadbeefULL;  // "written for some other graph"
+      });
+  ExpectRefusedUnderBothTiers(path, "different graph");
+  std::filesystem::remove(path);
+}
+
+TEST(SnapshotCorruptionTest, CollectionFromOlderSamplerContractIsRejected) {
+  // Sets written by the version-1 traversal (one coin per in-edge) are not
+  // what this build generates for the same indices; adopting them would
+  // break "warm from disk == generated cold".
+  ASSERT_EQ(kSamplerContractVersion, 2u);
+  const std::string path = WriteEditedCollectionSnapshot(
+      MakeTestGraph(423), "contract.asms",
+      [](store::CollectionSectionHeader& header) { header.contract_version = 1; });
+  ExpectRefusedUnderBothTiers(path, "sampler contract version 1");
   std::filesystem::remove(path);
 }
 
